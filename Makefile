@@ -42,8 +42,7 @@ trace-smoke:
 # (.repro_runs by default): warm records are served bit-for-bit,
 # missing ones are executed and stored (see docs/runs.md).
 report:
-	python scripts/run_experiments.py
-	python scripts/generate_report.py REPORT.md
+	PYTHONPATH=src python -m repro report --out REPORT.md
 
 # The resume-by-addressing smoke from CI: sweep, kill after one point,
 # relaunch — the second launch must skip the stored point.

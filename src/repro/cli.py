@@ -2,9 +2,9 @@
 
     python -m repro list                 # all experiments
     python -m repro run T1b [--kw m=16 k=4 trials=10] [--store DIR]
-    python -m repro run-all
+    python -m repro run-all [--trace trace.json]
     python -m repro sweep T1b --grid m=8,12,16 k=2,4 --trials 20
-    python -m repro report [--out REPORT.md]
+    python -m repro report [IDS] [--out REPORT.md] [--store DIR]
     python -m repro runs list|show|diff  # inspect stored run records
     python -m repro attack sampled:2 --m 12 --k 4 --trials 20
     python -m repro trace T1b [--out trace.json]   # smoke run + telemetry
@@ -42,9 +42,10 @@ The runs pipeline (see ``docs/runs.md``):
 Telemetry (see ``docs/observability.md``): ``repro trace EXP`` runs an
 experiment at its declared smoke scale under a recorder and prints the
 aggregated span tree plus the counter table (``--out`` exports the raw
-trace); ``run`` and ``sweep`` take ``--trace PATH`` to export a Chrome
-trace-event JSON (``.json``, loadable in Perfetto / chrome://tracing)
-or a JSONL event log (``.jsonl``) of the whole invocation.
+trace); ``run``, ``run-all`` and ``sweep`` take ``--trace PATH`` to
+export a Chrome trace-event JSON (``.json``, loadable in Perfetto /
+chrome://tracing) or a JSONL event log (``.jsonl``) of the whole
+invocation.
 
 ``repro conformance {run,shrink,list}`` drives the conformance
 subsystem: deterministic differential/metamorphic fuzzing of every
@@ -70,7 +71,6 @@ from .runs import (
     parse_value,
     parse_workers,
     run_sweep,
-    run_with_engine,
 )
 from .runs.report import (
     diff_records,
@@ -78,12 +78,6 @@ from .runs.report import (
     format_records_table,
     generate_report,
 )
-
-#: Backwards-compatible aliases (the public homes are in ``repro.runs``).
-_parse_value = parse_value
-_parse_workers = parse_workers
-_engine_summary = engine_summary
-
 
 def _parse_kwargs(pairs: list[str]) -> dict:
     """Parse ``key=value`` override pairs into a dict of typed values."""
@@ -129,11 +123,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         "--no-cache",
         action="store_true",
         help="disable the construction cache entirely",
-    )
-    parser.add_argument(
-        "--no-batch-sketch",
-        action="store_true",
-        help="force per-view sketch construction (disable the batched runtime)",
     )
 
 
@@ -184,8 +173,18 @@ def _build_engine(args: argparse.Namespace) -> ExecutionEngine:
         workers=getattr(args, "workers", None),
         cache_dir=getattr(args, "cache_dir", None),
         no_cache=getattr(args, "no_cache", False),
-        batch_sketch=not getattr(args, "no_batch_sketch", False),
     )
+
+
+def _stopwatch(engine: ExecutionEngine):
+    """Start timing work on ``engine``; call the result to stop.
+
+    The returned callable gives the engine summary line: wall clock
+    since the start, backend policy, and the cache traffic in between.
+    """
+    before = engine.cache.stats.snapshot()
+    start = time.time()
+    return lambda: engine_summary(engine, time.time() - start, before)
 
 
 def cmd_list() -> int:
@@ -239,10 +238,9 @@ def cmd_run(
             f"{record.cache_hits} hits / {record.cache_misses} misses)"
         )
         return 0
-    before = engine.cache.stats.snapshot()
-    start = time.time()
-    report = run_with_engine(experiment, overrides, engine, exact)
-    elapsed = time.time() - start
+    stop = _stopwatch(engine)
+    report = experiment.run(engine=engine, exact=exact, **overrides)
+    summary = stop()
     if as_json:
         import json
 
@@ -254,7 +252,7 @@ def cmd_run(
         return 0
     print(report.render())
     print()
-    print(engine_summary(engine, elapsed, before))
+    print(summary)
     return 0
 
 
@@ -264,12 +262,11 @@ def cmd_run_all(
     """Run every experiment in id order with a per-experiment summary."""
     engine = engine or ExecutionEngine()
     for exp in all_experiments():
-        before = engine.cache.stats.snapshot()
-        start = time.time()
-        report = run_with_engine(exp, {}, engine, exact)
-        elapsed = time.time() - start
+        stop = _stopwatch(engine)
+        report = exp.run(engine=engine, exact=exact)
+        summary = stop()
         print(report.render())
-        print(f"[{exp.experiment_id}] {engine_summary(engine, elapsed, before)}")
+        print(f"[{exp.experiment_id}] {summary}")
         print()
     return 0
 
@@ -362,13 +359,12 @@ def cmd_attack(
     from .protocols import is_mis_spec, make_protocol
 
     engine = engine or ExecutionEngine()
-    before = engine.cache.stats.snapshot()
-    start = time.time()
+    stop = _stopwatch(engine)
     hard = scaled_distribution(m=m, k=k)
     protocol = make_protocol(spec)
     attack = attack_with_mis_protocol if is_mis_spec(spec) else attack_with_matching_protocol
     result = attack(hard, protocol, trials=trials, seed=seed, engine=engine)
-    elapsed = time.time() - start
+    summary = stop()
     chain = proof_chain_bound(hard)
     print(f"distribution : m={m}, k={k} -> N={hard.N}, r={hard.r}, t={hard.t}, n={hard.n}")
     print(f"protocol     : {protocol.name}")
@@ -378,7 +374,7 @@ def cmd_attack(
     print(f"strict       : {result.strict_success_rate:.2f}")
     print(f"relaxed      : {result.relaxed_success_rate:.2f}")
     print(f"mean UU edges: {result.mean_unique_unique:.2f} (kr/4 = {hard.claim31_threshold})")
-    print(engine_summary(engine, elapsed, before))
+    print(summary)
     return 0
 
 
@@ -404,7 +400,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     engine = _build_engine(args)
     start = time.time()
     with recording(TelemetryRecorder()) as recorder:
-        report = run_with_engine(experiment, overrides, engine, args.exact)
+        report = experiment.run(engine=engine, exact=args.exact, **overrides)
     elapsed = time.time() - start
     print(f"[{experiment.experiment_id}] {report.title} (traced, {elapsed:.2f}s)")
     print()
@@ -464,6 +460,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="Fraction-backed probabilities for runners that support it",
     )
+    _add_trace_flag(run_all_parser)
     _add_engine_flags(run_all_parser)
     sweep_parser = sub.add_parser(
         "sweep", help="run a resumable parameter grid through the store"
@@ -568,7 +565,8 @@ def main(argv: list[str] | None = None) -> int:
                 store_dir=args.store,
             )
     if args.command == "run-all":
-        return cmd_run_all(engine=_build_engine(args), exact=args.exact)
+        with _tracing(args.trace):
+            return cmd_run_all(engine=_build_engine(args), exact=args.exact)
     if args.command == "sweep":
         with _tracing(args.trace):
             return cmd_sweep(args)

@@ -42,7 +42,6 @@ from ..model import (
     PublicCoins,
     run_protocol,
     run_protocol_batch,
-    set_batch_sketching,
     views_of,
 )
 from ..model.reference import LegacyBitReader, LegacyBitWriter, LegacyMessage
@@ -499,14 +498,6 @@ def _sketches_generate(seed: int) -> Case:
     )
 
 
-def _sketch_batch_transcript(frozen, protocol, coins):
-    previous = set_batch_sketching(True)
-    try:
-        return run_protocol(frozen, protocol, coins)
-    finally:
-        set_batch_sketching(previous)
-
-
 def _sketches_build(case: Case) -> CheckContext:
     ctx = CheckContext(case)
     n = case.params["n"]
@@ -517,7 +508,7 @@ def _sketches_build(case: Case) -> CheckContext:
     frozen = g.freeze()
     coins = PublicCoins(seed=case.seed)
     protocol = make_protocol(case.params["spec"])
-    batch = _sketch_batch_transcript(frozen, protocol, coins)
+    batch = run_protocol(frozen, protocol, coins)
     perview = run_protocol(
         frozen, protocol, coins, views=views_of(frozen, n=n)
     )
@@ -529,7 +520,7 @@ def _sketches_build(case: Case) -> CheckContext:
     ctx.perview_run = perview
     ctx.messages.extend(batch.transcript.sketches.values())
     ctx.rerun_baseline = batch.transcript.sketches
-    ctx.rerun = lambda: _sketch_batch_transcript(
+    ctx.rerun = lambda: run_protocol(
         frozen, protocol, coins
     ).transcript.sketches
     family = SketchFamily.incidence(

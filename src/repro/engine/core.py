@@ -122,11 +122,9 @@ class ExecutionEngine:
         start = time.perf_counter()
         with obs.span("engine.plan", trials=plan.trials, namespace=plan.namespace):
             tasks = plan.tasks()
-        plan_time = time.perf_counter() - start
         backend = self.backend_for(len(tasks))
         obs.count(ENGINE_TRIALS, len(tasks))
         recorder = obs.active()
-        dispatch_start = time.perf_counter()
         if recorder is None:
             results: list[TrialResult] = backend.map(execute_task, tasks)
         else:
@@ -142,13 +140,10 @@ class ExecutionEngine:
                     )
                     offset += _snapshot_extent(snapshot)
                     results.append(result)
-        dispatch_time = time.perf_counter() - dispatch_start
         return BatchResult(
             results=tuple(results),
             wall_time=time.perf_counter() - start,
             backend_name=backend.name,
-            plan_time=plan_time,
-            dispatch_time=dispatch_time,
         )
 
     def _map_traced(self, fn, items, backend) -> list[Any]:

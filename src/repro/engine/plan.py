@@ -64,17 +64,14 @@ class TrialResult:
 class BatchResult:
     """All trial results of one plan, plus execution metadata.
 
-    ``wall_time`` covers the whole batch; ``plan_time`` (materializing
-    seeds and task tuples) and ``dispatch_time`` (the backend map,
-    including any telemetry merge) split it so setup cost is visible —
-    both default to 0.0 for constructors that never measured them.
+    ``wall_time`` covers the whole batch; under telemetry the
+    ``engine.plan`` and ``engine.dispatch`` spans split it into setup
+    and backend time.
     """
 
     results: tuple[TrialResult, ...]
     wall_time: float
     backend_name: str
-    plan_time: float = 0.0
-    dispatch_time: float = 0.0
 
     @property
     def values(self) -> list[Any]:

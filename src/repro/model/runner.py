@@ -23,30 +23,6 @@ from .messages import Message, assert_packed_accounting
 from .protocol import AdaptiveProtocol, BatchSketchProtocol, SketchProtocol
 from .views import VertexView, views_of
 
-#: Process-global switch for the batched sketch fast path.  On by
-#: default; the CLI's ``--no-batch-sketch`` and the differential tests
-#: flip it to force the per-view oracle.
-_BATCH_SKETCHING = True
-
-
-def set_batch_sketching(enabled: bool) -> bool:
-    """Enable/disable the batched fast path; returns the previous value.
-
-    Batch and per-view construction are bit-identical by contract, so
-    the switch can only ever change timings — it exists for A/B
-    benchmarking and for pinning the oracle in differential tests.
-    """
-    global _BATCH_SKETCHING
-    previous = _BATCH_SKETCHING
-    _BATCH_SKETCHING = bool(enabled)
-    return previous
-
-
-def batch_sketching_enabled() -> bool:
-    """Whether ``run_protocol`` may take the batched fast path."""
-    return _BATCH_SKETCHING
-
-
 def charge_transcript(
     transcript: "Transcript", protocol_name: str, round_index: int | None = None
 ) -> None:
@@ -136,14 +112,14 @@ def run_protocol(
     views are supplied, all players' messages are built in one batched
     pass over the CSR buffers.  Batch and per-view messages are
     bit-identical by contract, so the transcript (and therefore every
-    downstream cost or lemma computation) is unchanged.
+    downstream cost or lemma computation) is unchanged.  The per-view
+    path is the oracle: pass ``views=views_of(graph, n)`` to take it.
     """
     if n is None:
         n = graph.num_vertices()
     with obs.span("protocol.sketch", protocol=protocol.name, players=n):
         if (
             views is None
-            and _BATCH_SKETCHING
             and isinstance(graph, FrozenGraph)
             and isinstance(protocol, BatchSketchProtocol)
         ):

@@ -9,7 +9,7 @@ durable pipeline:
 * :mod:`~repro.runs.store` — the append-only, checksum-framed JSONL
   :class:`RunStore` of :class:`RunRecord` s;
 * :mod:`~repro.runs.api` — the public dispatch surface
-  (:func:`execute_run`, :func:`run_with_engine`, engine-flag helpers);
+  (:func:`execute_run`, engine-flag helpers);
 * :mod:`~repro.runs.sweep` — grid expansion and the resumable
   :func:`run_sweep` orchestrator;
 * :mod:`~repro.runs.report` — REPORT.md generation and record
@@ -26,7 +26,6 @@ from .api import (
     ensure_json_data,
     execute_run,
     parse_workers,
-    run_with_engine,
 )
 from .report import (
     diff_records,
@@ -73,5 +72,4 @@ __all__ = [
     "plan_sweep",
     "run_key",
     "run_sweep",
-    "run_with_engine",
 ]

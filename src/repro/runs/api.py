@@ -1,20 +1,19 @@
 """The public run API: dispatch experiments, record them, reuse them.
 
 This module is the supported surface for anything outside the package
-(scripts, CI jobs, notebooks) that wants to execute registered
-experiments — the CLI routes through it too, so ``repro run``,
-``scripts/run_experiments.py``, and the sweep orchestrator all share
-one dispatch path:
+(CI jobs, notebooks, the benchmark harness) that wants to execute
+registered experiments — ``repro run``, ``repro run-all``, ``repro
+report``, and the sweep orchestrator all route through it.  A bare run
+is :meth:`Experiment.run <repro.experiments.registry.Experiment.run>`,
+which injects ``engine=`` / ``exact=`` according to the runner's
+*declared* spec; on top of that:
 
-* :func:`run_with_engine` — call a runner with ``engine=`` / ``exact=``
-  injected according to its *declared* spec (no signature
-  introspection);
 * :func:`execute_run` — the durable form: resolve the full parameter
   dict, compute the content address, serve the stored record if the
   store already has it, otherwise run, measure (wall clock + cache
   delta), and append a :class:`~repro.runs.store.RunRecord`;
 * :func:`build_engine` / :func:`parse_workers` / :func:`engine_summary`
-  — the engine-flag plumbing the CLI and scripts share.
+  — the engine-flag plumbing of the CLI.
 
 Imports of :mod:`repro.experiments` happen inside functions: the
 registry imports this package for its spec types, so the dependency
@@ -62,13 +61,9 @@ def build_engine(
     workers: int | str | None = None,
     cache_dir: str | None = None,
     no_cache: bool = False,
-    batch_sketch: bool = True,
 ) -> ExecutionEngine:
     """Build an engine from the shared CLI flags and install it as default."""
-    from ..model import set_batch_sketching
-
     cache = configure_cache(directory=cache_dir, enabled=not no_cache)
-    set_batch_sketching(batch_sketch)
     if workers is None:
         workers = workers_from_env()
     return set_default_engine(ExecutionEngine(workers=workers, cache=cache))
@@ -82,25 +77,6 @@ def engine_summary(
     hits, misses = after[0] - before[0], after[1] - before[1]
     cache = "off" if not engine.cache.enabled else f"{hits} hits / {misses} misses"
     return f"(ran in {elapsed:.2f}s; backend {engine.describe()}; cache {cache})"
-
-
-def run_with_engine(
-    experiment,
-    overrides: Mapping[str, Any],
-    engine: ExecutionEngine | None = None,
-    exact: bool = False,
-):
-    """Run an experiment (object or id) with spec-declared injection.
-
-    The experiment's :class:`~repro.runs.spec.ExperimentSpec` says
-    whether the runner accepts ``engine=`` / ``exact=``; overrides are
-    validated against the declared parameters before dispatch.
-    """
-    if isinstance(experiment, str):
-        from ..experiments import get_experiment
-
-        experiment = get_experiment(experiment)
-    return experiment.run(engine=engine, exact=exact, **overrides)
 
 
 def ensure_json_data(data: dict, experiment_id: str) -> dict:

@@ -57,7 +57,7 @@ def generate_report(
         "# Reproduction report (auto-generated)",
         "",
         f"Package version {__version__}; regenerate with "
-        "`python scripts/generate_report.py`.",
+        "`python -m repro report`.",
         "",
         "## Contents",
         "",

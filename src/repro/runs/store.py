@@ -242,12 +242,24 @@ class RunStore:
             "record": payload,
         }
         self.root.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(frame, sort_keys=True) + "\n"
-        with self.path_for(record.experiment_id).open("a") as fh:
-            fh.write(line)
+        line = (json.dumps(frame, sort_keys=True) + "\n").encode()
+        # One write(2) on an O_APPEND descriptor places the whole framed
+        # line at end-of-file, so concurrent writers (parallel sweeps)
+        # never interleave inside a record; a buffered writer may issue
+        # several writes for one long line.
+        path = self.path_for(record.experiment_id)
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            written = os.write(fd, line)
+        finally:
+            os.close(fd)
+        if written != len(line):
+            raise OSError(
+                f"short append to {path}: {written} of {len(line)} bytes"
+            )
         recorder = obs.active()
         if recorder is not None:
             recorder.count(STORE_RECORDS)
-            recorder.count(STORE_BYTES, len(line.encode()))
+            recorder.count(STORE_BYTES, len(line))
         self._load()[record.key] = record
         return record.key

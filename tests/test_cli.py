@@ -2,35 +2,36 @@
 
 import pytest
 
-from repro.cli import _parse_kwargs, _parse_value, main
+from repro.cli import _parse_kwargs, main
+from repro.runs import parse_value
 
 
 class TestParsing:
     def test_parse_value_int(self):
-        assert _parse_value("12") == 12
-        assert isinstance(_parse_value("12"), int)
+        assert parse_value("12") == 12
+        assert isinstance(parse_value("12"), int)
 
     def test_parse_value_float(self):
-        assert _parse_value("0.5") == 0.5
+        assert parse_value("0.5") == 0.5
 
     def test_parse_value_string(self):
-        assert _parse_value("hello") == "hello"
+        assert parse_value("hello") == "hello"
 
     def test_parse_value_booleans(self):
         """Regression: 'true'/'false' parse to bools, not strings."""
-        assert _parse_value("true") is True
-        assert _parse_value("false") is False
-        assert _parse_value("True") is True
-        assert _parse_value("FALSE") is False
+        assert parse_value("true") is True
+        assert parse_value("false") is False
+        assert parse_value("True") is True
+        assert parse_value("FALSE") is False
 
     def test_parse_value_none(self):
         """Regression: 'none' parses to None, not the string 'none'."""
-        assert _parse_value("none") is None
-        assert _parse_value("None") is None
+        assert parse_value("none") is None
+        assert parse_value("None") is None
 
     def test_parse_value_near_misses_stay_strings(self):
-        assert _parse_value("truely") == "truely"
-        assert _parse_value("nonempty") == "nonempty"
+        assert parse_value("truely") == "truely"
+        assert parse_value("nonempty") == "nonempty"
 
     def test_parse_kwargs_booleans(self):
         assert _parse_kwargs(["information=true"]) == {"information": True}

@@ -1,15 +1,16 @@
 """Engine-flag interactions: every combination must agree bit for bit.
 
-``--workers N``, ``--no-batch-sketch``, and ``--exact`` each swap an
-implementation (process pool vs serial, per-view vs batched sketch
-construction, Fraction vs float probability kernel) without touching the
-math.  This matrix pins that contract through the real CLI: the same
-attack/run invocation under every flag combination prints identical
-stable output lines, and the underlying transcripts are bit-identical.
+``--workers N`` and ``--exact`` each swap an implementation (process
+pool vs serial, Fraction vs float probability kernel) without touching
+the math.  This matrix pins that contract through the real CLI: the
+same attack/run invocation under every flag combination prints
+identical stable output lines.  Underneath, batched sketch
+construction must serialize every player's message exactly as the
+per-view oracle path does.
 
-``_build_engine`` installs process-global state (default engine, cache,
-batch-sketching toggle); the autouse fixture restores all three so the
-matrix cannot leak configuration into other test files.
+``_build_engine`` installs process-global state (default engine and
+cache); the autouse fixture restores both so the matrix cannot leak
+configuration into other test files.
 """
 
 import random
@@ -19,7 +20,7 @@ import pytest
 from repro.cli import main
 from repro.engine import ExecutionEngine, configure_cache, set_default_engine
 from repro.graphs.builders import erdos_renyi
-from repro.model import PublicCoins, run_protocol, set_batch_sketching
+from repro.model import PublicCoins, run_protocol
 from repro.model.views import views_of
 from repro.protocols import make_protocol
 
@@ -32,7 +33,6 @@ RUN = ["run", "L33", "--kw", "r=1", "t=2", "k=2"]
 @pytest.fixture(autouse=True)
 def _restore_engine_globals():
     yield
-    set_batch_sketching(True)
     configure_cache()
     set_default_engine(ExecutionEngine())
 
@@ -48,11 +48,7 @@ def _stable_lines(text: str) -> list[str]:
 
 
 def _matrix(base):
-    out = []
-    for workers in ([], ["--workers", "2"]):
-        for batch in ([], ["--no-batch-sketch"]):
-            out.append(base + workers + batch)
-    return out
+    return [base, base + ["--workers", "2"]]
 
 
 class TestAttackMatrix:
@@ -122,15 +118,10 @@ class TestTranscriptBitIdentity:
         graph = erdos_renyi(10, 0.4, random.Random(3)).freeze()
         protocol = make_protocol(SPEC)
         coins = PublicCoins(seed=2020)
-        previous = set_batch_sketching(True)
-        try:
-            batched = run_protocol(graph, protocol, coins)
-            set_batch_sketching(False)
-            per_view = run_protocol(
-                graph, protocol, coins, views=views_of(graph, n=10)
-            )
-        finally:
-            set_batch_sketching(previous)
+        batched = run_protocol(graph, protocol, coins)
+        per_view = run_protocol(
+            graph, protocol, coins, views=views_of(graph, n=10)
+        )
         a = batched.transcript.sketches
         b = per_view.transcript.sketches
         assert set(a) == set(b)

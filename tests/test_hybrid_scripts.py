@@ -1,5 +1,6 @@
-"""Tests for HybridMatching and the repository scripts."""
+"""Tests for HybridMatching and the ``repro`` CLI experiment drivers."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from repro.graphs import (
 )
 from repro.lowerbound import attack_with_matching_protocol, scaled_distribution
 from repro.model import PublicCoins, run_protocol
+from repro.obs import validate_chrome_trace
 from repro.protocols import HybridMatching, LowDegreeOnlyMatching
 
 REPO = Path(__file__).resolve().parent.parent
@@ -57,28 +59,40 @@ class TestHybridMatching:
         assert hybrid.strict_success_rate >= silent.strict_success_rate
 
 
-class TestScripts:
-    def test_run_experiments_subset(self):
-        out = subprocess.run(
-            [sys.executable, "scripts/run_experiments.py", "F1", "P21"],
-            cwd=REPO,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert out.returncode == 0
-        assert "[F1]" in out.stdout and "[P21]" in out.stdout
+class TestCLIDrivers:
+    """The ``repro`` CLI is the one experiment driver: run-all + report."""
 
-    def test_generate_report(self, tmp_path):
-        target = tmp_path / "report.md"
-        out = subprocess.run(
-            [sys.executable, "scripts/generate_report.py", str(target)],
+    @staticmethod
+    def _repro(*args, timeout):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *args],
             cwd=REPO,
+            env=env,
             capture_output=True,
             text=True,
-            timeout=600,
+            timeout=timeout,
         )
-        assert out.returncode == 0
+
+    def test_run_all_trace_validates(self, tmp_path):
+        target = tmp_path / "trace.json"
+        out = self._repro("run-all", "--trace", str(target), timeout=600)
+        assert out.returncode == 0, out.stderr
+        assert "[F1]" in out.stdout and "[XCC]" in out.stdout
+        stats = validate_chrome_trace(target)
+        assert stats["events"] > 0
+        assert "protocol.sketch" in stats["names"]
+
+    def test_report_renders_sections(self, tmp_path):
+        target = tmp_path / "report.md"
+        out = self._repro(
+            "report", "T1b", "XCC", "--out", str(target),
+            "--store", str(tmp_path / "runs"), timeout=600,
+        )
+        assert out.returncode == 0, out.stderr
         text = target.read_text()
         assert "# Reproduction report" in text
         assert "## T1b" in text

@@ -2,8 +2,8 @@
 
 Covers the recorder contract (span trees, counter taxonomy, snapshots
 and merges), the zero-overhead disabled path, all three exporters, and
-the instrumentation satellites this PR pins: ``CacheStats.summary``
-including stores, ``BatchResult``'s phase timings, and the
+the instrumentation around them: ``CacheStats.summary`` including
+stores, the engine's plan/dispatch spans, and the
 ``RunRecord.telemetry`` provenance block.
 """
 
@@ -13,7 +13,6 @@ import pytest
 
 from repro import obs
 from repro.engine import (
-    BatchResult,
     CacheStats,
     ConstructionCache,
     ExecutionEngine,
@@ -294,16 +293,6 @@ def _square(trial, seed):
 
 
 class TestBatchResultSatellite:
-    def test_legacy_constructor_still_works(self):
-        batch = BatchResult(results=(), wall_time=0.1, backend_name="serial")
-        assert batch.plan_time == 0.0 and batch.dispatch_time == 0.0
-
-    def test_run_trials_records_phases(self):
-        plan = TrialPlan(fn=_square, trials=4, base_seed=1)
-        batch = ExecutionEngine().run_trials(plan)
-        assert batch.plan_time >= 0.0 and batch.dispatch_time >= 0.0
-        assert batch.plan_time + batch.dispatch_time <= batch.wall_time + 1e-9
-
     def test_traced_run_counts_trials(self):
         plan = TrialPlan(fn=_square, trials=4, base_seed=1)
         with recording(TelemetryRecorder()) as rec:

@@ -1,9 +1,14 @@
 """Tests for the content-addressed run store and its JSONL framing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.runs import (
     RunRecord,
     RunStore,
@@ -132,6 +137,65 @@ class TestRunStore:
         records = store.records("F1")
         assert [r.created for r in records] == [1.0, 2.0]
         assert store.records("NOPE") == []
+
+
+#: Child process for the concurrent-append test: import, report ready,
+#: wait for "go" on stdin, then append COUNT records of SIZE bytes each.
+_APPEND_WRITER = """
+import sys
+from repro.runs import RunRecord, RunStore, run_key
+
+root, writer, count, size = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+store = RunStore(root)
+print("ready", flush=True)
+sys.stdin.readline()
+for i in range(count):
+    params = {"writer": writer, "i": i}
+    store.put(RunRecord(
+        key=run_key("F1", params), experiment_id="F1", title="concurrent",
+        params=params, seed=None, exact=False, engine={"backend": "serial"},
+        version="1.0.0", wall_time=0.0, cache_hits=0, cache_misses=0,
+        lines=(writer * size,), data={"i": i}, created=float(i),
+    ))
+"""
+
+
+class TestConcurrentAppend:
+    def test_two_processes_append_large_records_intact(self, tmp_path):
+        """Records far above any I/O buffer size, appended by two
+        processes at once to one manifest, all read back intact."""
+        root = tmp_path / "runs"
+        count, size = 40, 256 * 1024
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-c", _APPEND_WRITER, str(root), name,
+                 str(count), str(size)],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
+                text=True,
+            )
+            for name in ("a", "b")
+        ]
+        for proc in writers:
+            assert proc.stdout.readline().strip() == "ready"
+        for proc in writers:
+            proc.stdin.write("go\n")
+            proc.stdin.flush()
+        for proc in writers:
+            proc.stdin.close()
+            assert proc.wait(timeout=120) == 0
+            proc.stdout.close()
+        store = RunStore(root)
+        assert store.corrupt_entries == 0
+        assert len(store) == 2 * count
+        for record in store.records("F1"):
+            writer = record.params["writer"]
+            assert record.lines == (writer * size,)
+            assert record.data == {"i": record.params["i"]}
 
 
 class TestExecuteRun:

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import Graph
-from repro.model import PublicCoins, run_protocol, set_batch_sketching, views_of
+from repro.model import PublicCoins, run_protocol, views_of
 from repro.protocols.registry import make_protocol
 from repro.sketches import (
     AGMConnectivity,
@@ -260,11 +260,7 @@ def test_run_protocol_fast_path_matches_slow_path(spec, seed):
     coins = PublicCoins(seed=seed)
     protocol = AGMSpanningForest()
     fast = run_protocol(graph, protocol, coins, n=n)
-    previous = set_batch_sketching(False)
-    try:
-        slow = run_protocol(graph, protocol, coins, n=n)
-    finally:
-        set_batch_sketching(previous)
+    slow = run_protocol(graph, protocol, coins, n=n, views=views_of(graph, n))
     assert fast.output == slow.output
     assert fast.max_bits == slow.max_bits
     for v in graph.sorted_vertices():
