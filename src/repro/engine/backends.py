@@ -9,7 +9,8 @@ serial and parallel execution of the same plan are bit-identical.
 ``concurrent.futures.ProcessPoolExecutor``; tasks and their arguments
 must be picklable (module-level functions, dataclass instances).  A
 non-picklable workload silently degrades to serial execution — recorded
-in ``serial_fallbacks`` — so callers can always route through the
+in ``serial_fallbacks`` and the ``engine.serial_fallbacks`` telemetry
+counter — so callers can always route through the
 backend without branching on their payload.
 
 Worker processes are marked via a pool initializer: code running inside
@@ -26,6 +27,9 @@ from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any
+
+from .. import obs
+from ..obs import ENGINE_SERIAL_FALLBACKS
 
 #: True only inside a pool worker process (set by the pool initializer).
 _IN_WORKER = False
@@ -101,6 +105,7 @@ class ProcessPoolBackend(ExecutionBackend):
         if len(items) <= 1 or in_worker_process() or not self._picklable(fn, items[0]):
             if items and not in_worker_process() and len(items) > 1:
                 self.serial_fallbacks += 1
+                obs.count(ENGINE_SERIAL_FALLBACKS)
             return [fn(item) for item in items]
         chunksize = max(1, len(items) // (self.workers * 4))
         executor = self._ensure_executor()

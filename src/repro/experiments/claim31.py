@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 
+from .. import obs
 from ..lowerbound import (
     HardDistribution,
     micro_distribution,
@@ -82,8 +83,10 @@ def run_claim31(
         union_total = 0.0
         min_total = 0.0
         for _ in range(trials):
-            inst = sample_dmm(hard, rng)
-            min_uu = min_unique_unique_edges(inst, heuristic_trials=4)
+            with obs.span("dmm.sample"):
+                inst = sample_dmm(hard, rng)
+            with obs.span("claim31.min_unique_unique"):
+                min_uu = min_unique_unique_edges(inst, heuristic_trials=4)
             union_total += union_matching_size(inst)
             min_total += min_uu
             if min_uu >= threshold:

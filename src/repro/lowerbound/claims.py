@@ -41,6 +41,33 @@ def count_unique_unique(instance: DMMInstance, matching: Iterable[Edge]) -> int:
     return len(instance.unique_unique_edges(list(matching)))
 
 
+def _public_first_split(instance: DMMInstance) -> tuple[list[Edge], list[Edge]]:
+    """G's edges, ascending, split into public-touching and unique-unique."""
+    public = instance.public_labels
+    public_touching: list[Edge] = []
+    unique_unique: list[Edge] = []
+    for edge in sorted(instance.graph.edges()):
+        if edge[0] in public or edge[1] in public:
+            public_touching.append(edge)
+        else:
+            unique_unique.append(edge)
+    return public_touching, unique_unique
+
+
+def _greedy_public_first(
+    instance: DMMInstance,
+    split: tuple[list[Edge], list[Edge]],
+    rng: random.Random | None,
+) -> set[Edge]:
+    public_touching, unique_unique = split
+    if rng is not None:
+        public_touching = list(public_touching)
+        unique_unique = list(unique_unique)
+        rng.shuffle(public_touching)
+        rng.shuffle(unique_unique)
+    return greedy_maximal_matching(instance.graph, public_touching + unique_unique)
+
+
 def public_first_adversarial_matching(
     instance: DMMInstance, rng: random.Random | None = None
 ) -> set[Edge]:
@@ -50,18 +77,7 @@ def public_first_adversarial_matching(
     class when an rng is given), so public vertices absorb as many
     matched edges as possible before any unique-unique edge is forced.
     """
-    public = instance.public_labels
-    public_touching: list[Edge] = []
-    unique_unique: list[Edge] = []
-    for edge in sorted(instance.graph.edges()):
-        if edge[0] in public or edge[1] in public:
-            public_touching.append(edge)
-        else:
-            unique_unique.append(edge)
-    if rng is not None:
-        rng.shuffle(public_touching)
-        rng.shuffle(unique_unique)
-    return greedy_maximal_matching(instance.graph, public_touching + unique_unique)
+    return _greedy_public_first(instance, _public_first_split(instance), rng)
 
 
 def min_unique_unique_edges(
@@ -85,9 +101,10 @@ def min_unique_unique_edges(
             default=0,
         )
     rng = random.Random(seed)
+    split = _public_first_split(instance)
     best = None
     for _ in range(heuristic_trials):
-        matching = public_first_adversarial_matching(instance, rng)
+        matching = _greedy_public_first(instance, split, rng)
         assert is_maximal_matching(graph, matching)
         count = count_unique_unique(instance, matching)
         best = count if best is None else min(best, count)

@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
+from .. import obs
 from ..graphs import Edge, FrozenGraph, normalize_edge
 from .params import HardDistribution
 
@@ -47,9 +48,10 @@ class DMMInstance:
             len(row) != hd.t for row in self.indicators
         ):
             raise ValueError("indicator table must be k x t")
+        limit = 1 << hd.r
         for row in self.indicators:
             for mask in row:
-                if not 0 <= mask < (1 << hd.r):
+                if not 0 <= mask < limit:
                     raise ValueError("indicator mask out of range for r edges")
 
     # ------------------------------------------------------------------
@@ -67,12 +69,28 @@ class DMMInstance:
         return tuple(v for v in sorted(self.hard.rs.graph.vertices) if v not in star)
 
     @cached_property
-    def _public_slot(self) -> dict[int, int]:
-        return {v: slot for slot, v in enumerate(self.public_rs_vertices)}
+    def _copy_labels(self) -> tuple[dict[int, int], ...]:
+        """Per copy i, the map RS vertex -> G-label, built once from sigma.
 
-    @cached_property
-    def _star_slot(self) -> dict[int, int]:
-        return {v: slot for slot, v in enumerate(self.v_star)}
+        Public vertex in slot s gets sigma[s] in every copy (step 4a);
+        V* vertex in slot s gets sigma[N - 2r + i*2r + s] in copy i
+        (step 4b).  Keyed by RS vertex, so RS graphs with arbitrary
+        labels work too.
+        """
+        sigma = self.sigma
+        r2 = 2 * self.hard.r
+        base = self.hard.N - r2
+        public = dict(zip(self.public_rs_vertices, sigma))
+        return tuple(
+            {**public, **dict(zip(self.v_star, sigma[start : start + r2]))}
+            for start in range(base, base + self.hard.k * r2, r2)
+        )
+
+    def copy_labels(self, i: int) -> dict[int, int]:
+        """Copy i's RS vertex -> G-label table (shared; do not mutate)."""
+        if not 0 <= i < self.hard.k:
+            raise ValueError("copy index out of range")
+        return self._copy_labels[i]
 
     def label_in_copy(self, i: int, rs_vertex: int) -> int:
         """The G-label of RS vertex ``rs_vertex`` as it appears in copy i.
@@ -80,12 +98,7 @@ class DMMInstance:
         Public vertices share one label across copies (step 4a); V*
         vertices get fresh labels per copy (step 4b).
         """
-        if not 0 <= i < self.hard.k:
-            raise ValueError("copy index out of range")
-        if rs_vertex in self._public_slot:
-            return self.sigma[self._public_slot[rs_vertex]]
-        base = self.hard.N - 2 * self.hard.r
-        return self.sigma[base + i * 2 * self.hard.r + self._star_slot[rs_vertex]]
+        return self.copy_labels(i)[rs_vertex]
 
     @cached_property
     def public_labels(self) -> frozenset[int]:
@@ -114,16 +127,13 @@ class DMMInstance:
     # ------------------------------------------------------------------
     def copy_edges(self, i: int) -> list[Edge]:
         """The (labeled) surviving edges of copy G_i."""
+        labels = self.copy_labels(i)
         edges: list[Edge] = []
-        for j, matching in enumerate(self.hard.rs.matchings):
-            mask = self.indicators[i][j]
+        for mask, matching in zip(self.indicators[i], self.hard.rs.matchings):
             for e, (u, v) in enumerate(matching):
                 if (mask >> e) & 1:
-                    edges.append(
-                        normalize_edge(
-                            self.label_in_copy(i, u), self.label_in_copy(i, v)
-                        )
-                    )
+                    a, b = labels[u], labels[v]
+                    edges.append((a, b) if a < b else (b, a))
         return edges
 
     @cached_property
@@ -143,8 +153,9 @@ class DMMInstance:
     def special_slot_pairs(self, i: int) -> list[Edge]:
         """M^RS_{i,j*} of Section 4: the labeled pairs of the special
         matching in copy i *before* subsampling (all r slots)."""
+        labels = self.copy_labels(i)
         return [
-            normalize_edge(self.label_in_copy(i, u), self.label_in_copy(i, v))
+            normalize_edge(labels[u], labels[v])
             for (u, v) in self.hard.rs.matchings[self.j_star]
         ]
 
@@ -203,12 +214,13 @@ def sample_dmm_family(
         raise ValueError("trials must be non-negative")
 
     def build() -> tuple[DMMInstance, ...]:
-        return tuple(
-            sample_dmm(
-                hard, random.Random(derive_seed(base_seed, "dmm-family", trial))
+        with obs.span("dmm.sample_family", trials=trials):
+            return tuple(
+                sample_dmm(
+                    hard, random.Random(derive_seed(base_seed, "dmm-family", trial))
+                )
+                for trial in range(trials)
             )
-            for trial in range(trials)
-        )
 
     return construction_cache().get_or_build(
         ("dmm-family", hard.cache_token, trials, base_seed), build

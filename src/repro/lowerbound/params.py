@@ -37,22 +37,22 @@ class HardDistribution:
         if self.rs.r < 1:
             raise ValueError("the RS graph must have nonempty matchings")
 
-    @property
+    @cached_property
     def N(self) -> int:
         """Vertices of the base RS graph."""
         return self.rs.num_vertices
 
-    @property
+    @cached_property
     def r(self) -> int:
         """Size of every induced matching."""
         return self.rs.r
 
-    @property
+    @cached_property
     def t(self) -> int:
         """Number of induced matchings."""
         return self.rs.num_matchings
 
-    @property
+    @cached_property
     def n(self) -> int:
         """Vertices of the glued graph G: N - 2r public + 2rk unique."""
         return self.N - 2 * self.r + 2 * self.r * self.k

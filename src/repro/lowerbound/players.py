@@ -49,25 +49,23 @@ def unique_player_views(instance: DMMInstance) -> dict[UniquePlayerId, VertexVie
     """One view per (copy i, RS vertex j): vertex j's edges inside G_i."""
     hard = instance.hard
     n = hard.n
+    rs_vertices = hard.rs.graph.vertices
+    matchings = hard.rs.matchings
     # Adjacency inside each copy, by RS vertex.
     views: dict[UniquePlayerId, VertexView] = {}
     for i in range(hard.k):
-        copy_adjacency: dict[int, set[int]] = {
-            v: set() for v in hard.rs.graph.vertices
-        }
-        for j, matching in enumerate(hard.rs.matchings):
-            mask = instance.indicators[i][j]
+        labels = instance.copy_labels(i)
+        copy_adjacency: dict[int, set[int]] = {v: set() for v in rs_vertices}
+        for mask, matching in zip(instance.indicators[i], matchings):
             for e, (u, v) in enumerate(matching):
                 if (mask >> e) & 1:
                     copy_adjacency[u].add(v)
                     copy_adjacency[v].add(u)
         for rs_vertex, rs_neighbors in copy_adjacency.items():
-            label = instance.label_in_copy(i, rs_vertex)
-            neighbors = frozenset(
-                instance.label_in_copy(i, u) for u in rs_neighbors
-            )
             views[(i, rs_vertex)] = VertexView(
-                n=n, vertex=label, neighbors=neighbors
+                n=n,
+                vertex=labels[rs_vertex],
+                neighbors=frozenset(labels[u] for u in rs_neighbors),
             )
     return views
 

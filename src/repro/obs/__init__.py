@@ -25,6 +25,7 @@ from .counters import (
     CACHE_MISSES,
     CACHE_STORES,
     COUNTERS,
+    ENGINE_SERIAL_FALLBACKS,
     ENGINE_TRIALS,
     SKETCH_BYTES,
     SKETCH_CELLS_PACKED,
@@ -67,6 +68,7 @@ __all__ = [
     "CACHE_STORES",
     "COUNTERS",
     "CounterDef",
+    "ENGINE_SERIAL_FALLBACKS",
     "ENGINE_TRIALS",
     "SKETCH_BYTES",
     "SKETCH_CELLS_PACKED",

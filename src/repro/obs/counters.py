@@ -33,6 +33,8 @@ TRANSCRIPT_BITS = "transcript.bits"
 TRANSCRIPT_MESSAGES = "transcript.messages"
 #: Trials executed through the engine's trial plans.
 ENGINE_TRIALS = "engine.trials"
+#: Pool maps that silently ran serially (unpicklable task or payload).
+ENGINE_SERIAL_FALLBACKS = "engine.serial_fallbacks"
 #: Sketch cells serialized through the packed codec.
 SKETCH_CELLS_PACKED = "sketch.cells_packed"
 #: Sketch cells recovered by the referee-side decode.
@@ -84,6 +86,12 @@ COUNTERS: dict[str, CounterDef] = {
             "trials",
             "trials executed through trial plans",
             stable=True,
+        ),
+        CounterDef(
+            ENGINE_SERIAL_FALLBACKS,
+            "maps",
+            "process-pool maps that degraded to serial execution",
+            stable=False,
         ),
         CounterDef(
             SKETCH_CELLS_PACKED,

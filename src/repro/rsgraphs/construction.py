@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
+from functools import cached_property
 
 from ..arithmetic import best_ap_free_set, is_three_ap_free
 from ..graphs import Edge, FrozenGraph, Graph, matched_vertices
@@ -57,12 +58,14 @@ class RSGraph:
     def matching_sizes(self) -> tuple[int, ...]:
         return tuple(len(m) for m in self.matchings)
 
-    @property
+    # The instance is frozen, so the shape is computed once and cached;
+    # ``matching_sizes`` stays a plain property so call counters can wrap it.
+    @cached_property
     def is_uniform(self) -> bool:
         sizes = set(self.matching_sizes)
         return len(sizes) <= 1
 
-    @property
+    @cached_property
     def r(self) -> int:
         """The common matching size; raises if sizes are non-uniform."""
         sizes = set(self.matching_sizes)

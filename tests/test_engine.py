@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.engine import (
     ConstructionCache,
     ExecutionEngine,
@@ -175,6 +176,17 @@ class TestBackends:
             backend.close()
         assert result == [2, 3, 4]
         assert backend.serial_fallbacks == 1
+
+    def test_serial_fallback_is_counted_in_telemetry(self):
+        backend = ProcessPoolBackend(workers=2)
+        try:
+            with obs.recording(obs.TelemetryRecorder()) as recorder:
+                # The first item (a lambda) cannot be pickled.
+                result = backend.map(callable, [lambda: 0, 1, 2])
+        finally:
+            backend.close()
+        assert result == [True, False, False]
+        assert recorder.totals()[obs.ENGINE_SERIAL_FALLBACKS] == 1
 
     def test_not_in_worker_in_main_process(self):
         assert not in_worker_process()
