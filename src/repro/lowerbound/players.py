@@ -18,6 +18,7 @@ from the split, and a test asserts the reconstruction matches
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ..model import VertexView
@@ -45,29 +46,39 @@ def public_player_views(instance: DMMInstance) -> dict[int, VertexView]:
     }
 
 
+def copy_player_views(instance: DMMInstance, i: int) -> dict[int, VertexView]:
+    """Copy i's unique players, keyed by RS vertex j: vertex j's edges
+    inside G_i.
+
+    A function of (j*, sigma, row i of the indicator table) only, which
+    is what lets the exact lemma enumeration build each copy's players
+    once per distinct row.
+    """
+    hard = instance.hard
+    labels = instance.copy_labels(i)
+    copy_adjacency: dict[int, set[int]] = {v: set() for v in hard.rs.graph.vertices}
+    for mask, matching in zip(instance.indicators[i], hard.rs.matchings):
+        for e, (u, v) in enumerate(matching):
+            if (mask >> e) & 1:
+                copy_adjacency[u].add(v)
+                copy_adjacency[v].add(u)
+    return {
+        rs_vertex: VertexView(
+            n=hard.n,
+            vertex=labels[rs_vertex],
+            neighbors=frozenset(labels[u] for u in rs_neighbors),
+        )
+        for rs_vertex, rs_neighbors in copy_adjacency.items()
+    }
+
+
 def unique_player_views(instance: DMMInstance) -> dict[UniquePlayerId, VertexView]:
     """One view per (copy i, RS vertex j): vertex j's edges inside G_i."""
-    hard = instance.hard
-    n = hard.n
-    rs_vertices = hard.rs.graph.vertices
-    matchings = hard.rs.matchings
-    # Adjacency inside each copy, by RS vertex.
-    views: dict[UniquePlayerId, VertexView] = {}
-    for i in range(hard.k):
-        labels = instance.copy_labels(i)
-        copy_adjacency: dict[int, set[int]] = {v: set() for v in rs_vertices}
-        for mask, matching in zip(instance.indicators[i], matchings):
-            for e, (u, v) in enumerate(matching):
-                if (mask >> e) & 1:
-                    copy_adjacency[u].add(v)
-                    copy_adjacency[v].add(u)
-        for rs_vertex, rs_neighbors in copy_adjacency.items():
-            views[(i, rs_vertex)] = VertexView(
-                n=n,
-                vertex=labels[rs_vertex],
-                neighbors=frozenset(labels[u] for u in rs_neighbors),
-            )
-    return views
+    return {
+        (i, rs_vertex): view
+        for i in range(instance.hard.k)
+        for rs_vertex, view in copy_player_views(instance, i).items()
+    }
 
 
 def player_split(instance: DMMInstance) -> PlayerSplit:
@@ -78,17 +89,32 @@ def player_split(instance: DMMInstance) -> PlayerSplit:
     )
 
 
-def vertex_player_views(instance: DMMInstance) -> dict[int, VertexView]:
-    """The *original* model's views (one player per vertex of G),
-    reconstructed from the split: public players as-is, plus the unique
-    players of genuinely unique vertices.
+def ordinary_views(
+    instance: DMMInstance,
+    public: dict[int, VertexView],
+    copies: Iterable[dict[int, VertexView]],
+) -> dict[int, VertexView]:
+    """The *original* model's views (one player per vertex of G) from
+    already-built split views: the public players as-is, plus the unique
+    players of genuinely unique vertices, copy by copy.
 
-    Every vertex label of G appears exactly once.
+    ``copies`` yields each copy's :func:`copy_player_views` in copy
+    order.  Every vertex label of G appears exactly once; isolated
+    unique slots whose RS vertex lost all edges keep their (empty)
+    views, so the union covers every label.
     """
-    views = dict(public_player_views(instance))
-    for (i, rs_vertex), view in unique_player_views(instance).items():
-        if instance.is_unique_label(view.vertex):
-            views[view.vertex] = view
-    # Isolated unique slots whose RS vertex lost all edges still get views
-    # above (empty neighborhoods), so the union covers every label.
+    views = dict(public)
+    for copy in copies:
+        for view in copy.values():
+            if instance.is_unique_label(view.vertex):
+                views[view.vertex] = view
     return views
+
+
+def vertex_player_views(instance: DMMInstance) -> dict[int, VertexView]:
+    """The original model's views, reconstructed from the split."""
+    return ordinary_views(
+        instance,
+        public_player_views(instance),
+        (copy_player_views(instance, i) for i in range(instance.hard.k)),
+    )

@@ -28,17 +28,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
+from .. import obs
 from ..graphs import is_maximal_matching, normalize_edge
 from ..infotheory import JointDistribution, TableBuilder, TableDistribution
-from ..model import PublicCoins, SketchProtocol
+from ..model import Message, PublicCoins, SketchProtocol, VertexView
+from ..obs import LEMMA_DECODES, LEMMA_OUTCOMES, LEMMA_SKETCHES
 from .distribution import (
     DMMInstance,
     enumerate_indicator_tables,
     identity_sigma,
 )
 from .params import HardDistribution
-from .players import player_split, vertex_player_views
+from .players import copy_player_views, ordinary_views, public_player_views
 
 
 @dataclass(frozen=True)
@@ -72,15 +75,22 @@ class ExactAnalysis:
     # Lemma 3.3
     # ------------------------------------------------------------------
     @cached_property
+    def _conditionals(self) -> tuple[tuple, ...]:
+        """(j, Pr[J = j], dist | J = j) for every j of positive mass —
+        each conditional is computed once and shared by every lemma."""
+        out = []
+        for j in range(self.hard.t):
+            p_j = self.dist.probability(J=j)
+            if p_j > 0:
+                out.append((j, p_j, self.dist.condition(J=j)))
+        return tuple(out)
+
+    @cached_property
     def information_revealed(self) -> float:
         """I(M_{1,J},...,M_{k,J} ; Π | Σ, J), computed as E_j of the
         conditional mutual information given J = j."""
         total = 0.0
-        for j in range(self.hard.t):
-            p_j = self.dist.probability(J=j)
-            if p_j <= 0:
-                continue
-            cond = self.dist.condition(J=j)
+        for j, p_j, cond in self._conditionals:
             total += p_j * cond.mutual_information(
                 self.m_vars(j), self.transcript_vars
             )
@@ -103,16 +113,19 @@ class ExactAnalysis:
         """H(Π(P))."""
         return self.dist.entropy(["PiP"])
 
+    @cached_property
+    def _unique_informations(self) -> tuple[float, ...]:
+        total = [0.0] * self.hard.k
+        for j, p_j, cond in self._conditionals:
+            for i in range(self.hard.k):
+                total[i] += p_j * cond.mutual_information(
+                    [f"M_{i}_{j}"], [f"PiU_{i}"]
+                )
+        return tuple(total)
+
     def unique_information(self, i: int) -> float:
-        """I(M_{i,J} ; Π(U_i) | Σ, J)."""
-        total = 0.0
-        for j in range(self.hard.t):
-            p_j = self.dist.probability(J=j)
-            if p_j <= 0:
-                continue
-            cond = self.dist.condition(J=j)
-            total += p_j * cond.mutual_information([f"M_{i}_{j}"], [f"PiU_{i}"])
-        return total
+        """I(M_{i,J} ; Π(U_i) | Σ, J), computed once per copy."""
+        return self._unique_informations[i]
 
     @property
     def lemma34_lhs(self) -> float:
@@ -130,9 +143,13 @@ class ExactAnalysis:
     # ------------------------------------------------------------------
     # Lemma 3.5
     # ------------------------------------------------------------------
+    @cached_property
+    def _unique_entropies(self) -> tuple[float, ...]:
+        return tuple(self.dist.entropy([f"PiU_{i}"]) for i in range(self.hard.k))
+
     def unique_entropy(self, i: int) -> float:
-        """H(Π(U_i))."""
-        return self.dist.entropy([f"PiU_{i}"])
+        """H(Π(U_i)), computed once per copy."""
+        return self._unique_entropies[i]
 
     def lemma35_holds(self, i: int) -> bool:
         return (
@@ -152,6 +169,14 @@ class ExactAnalysis:
         measured worst-case message length b."""
         hd = self.hard
         return self.worst_case_bits * (hd.num_public + hd.k * hd.N / hd.t)
+
+
+class _CopyTable(NamedTuple):
+    """Copy i's unique players at one (j*, row i of the indicator table)."""
+
+    views: dict[int, VertexView]  # by RS vertex
+    messages: tuple[Message, ...]  # Π(U_i), by ascending RS vertex
+    bits: int  # the longest of those messages
 
 
 def analyze_protocol(
@@ -175,6 +200,20 @@ def analyze_protocol(
     :class:`~fractions.Fraction` — each outcome has exact mass
     ``1 / (t · 2^(k·t·r))``, so expected values and lemma inputs carry
     no float rounding.
+
+    With the coins fixed, ``protocol.sketch`` and ``protocol.decode``
+    are pure functions of their inputs (the :class:`SketchProtocol`
+    contract), so each distinct piece of work runs once per call:
+
+    * every distinct player view is sketched once;
+    * copy i's unique players and their Π(U_i) messages depend only on
+      (j*, row i of the indicator table) — Lemma 3.5's per-copy direct
+      sum — so they are built once per distinct row;
+    * the referee decodes each distinct input once; correctness and
+      |M^U_π| are still evaluated on every outcome's own graph.
+
+    Rows, their order and every probability are exactly those of
+    sketching and decoding every outcome from scratch.
     """
     if exact and kernel != "table":
         raise ValueError("exact mode requires the table kernel")
@@ -182,7 +221,7 @@ def analyze_protocol(
         raise ValueError(f"unknown kernel {kernel!r}")
     if sigma is None:
         sigma = identity_sigma(hard)
-    k, t, r, n = hard.k, hard.t, hard.r, hard.n
+    k, t, n = hard.k, hard.t, hard.n
 
     m_names = [f"M_{i}_{j}" for i in range(k) for j in range(t)]
     names = ["J", *m_names, "PiP", *[f"PiU_{i}" for i in range(k)], "O", "MU"]
@@ -194,71 +233,88 @@ def analyze_protocol(
     error_prob = zero
     worst_bits = 0
     tables = list(enumerate_indicator_tables(hard))
-    prob = (
-        Fraction(1, t * len(tables)) if exact else 1.0 / (t * len(tables))
-    )
+    outcomes = t * len(tables)
+    prob = Fraction(1, outcomes) if exact else 1.0 / outcomes
 
-    for j_star in range(t):
-        for table in tables:
-            instance = DMMInstance(
-                hard=hard, j_star=j_star, sigma=sigma, indicators=table
-            )
-            split = player_split(instance)
-            # Messages are hashable packed bytes, so they key the pmf
-            # directly — no per-bit tuples are ever materialized.
-            pi_p = tuple(
-                protocol.sketch(split.public[label], coins)
-                for label in sorted(split.public)
-            )
-            pi_u = []
-            for i in range(k):
-                pi_u.append(
-                    tuple(
-                        protocol.sketch(split.unique[(i, v)], coins)
-                        for v in sorted(
-                            rs_v for (ci, rs_v) in split.unique if ci == i
-                        )
-                    )
+    sketches: dict[VertexView, Message] = {}
+
+    def sketch(view: VertexView) -> Message:
+        message = sketches.get(view)
+        if message is None:
+            message = sketches[view] = protocol.sketch(view, coins)
+        return message
+
+    copies: dict[tuple, _CopyTable] = {}  # keyed by (j*, i, row i)
+    # Referee input, as (vertex, message) items in insertion order -> the
+    # normalized output pairs.
+    decoded: dict[tuple, frozenset] = {}
+
+    with obs.span("lemma.analyze", protocol=protocol.name, outcomes=outcomes):
+        for j_star in range(t):
+            for table in tables:
+                instance = DMMInstance(
+                    hard=hard, j_star=j_star, sigma=sigma, indicators=table
                 )
-            worst_bits = max(
-                worst_bits,
-                max((m.num_bits for m in pi_p), default=0),
-                max((m.num_bits for group in pi_u for m in group), default=0),
-            )
+                public = public_player_views(instance)
+                # Messages are hashable packed bytes, so they key the pmf
+                # directly — no per-bit tuples are ever materialized.
+                pi_p = tuple(sketch(view) for view in public.values())
+                copy_tables = []
+                for i in range(k):
+                    key = (j_star, i, table[i])
+                    entry = copies.get(key)
+                    if entry is None:
+                        views = copy_player_views(instance, i)
+                        messages = tuple(sketch(views[v]) for v in sorted(views))
+                        bits = max((m.num_bits for m in messages), default=0)
+                        entry = copies[key] = _CopyTable(views, messages, bits)
+                    copy_tables.append(entry)
+                worst_bits = max(
+                    worst_bits,
+                    max((m.num_bits for m in pi_p), default=0),
+                    *(entry.bits for entry in copy_tables),
+                )
 
-            # Referee: the ordinary-model players (Remark: extra copies of
-            # public vertices are ignored), plus free (sigma, j*).
-            views = vertex_player_views(instance)
-            sketches = {
-                v: protocol.sketch(view, coins) for v, view in views.items()
-            }
-            output = protocol.decode(n, sketches, coins)
-            output_pairs = {normalize_edge(u, v) for u, v in output}
-            slots = set()
-            for i in range(k):
-                slots.update(instance.special_slot_pairs(i))
-            mu = len(output_pairs & slots)
-            correct = is_maximal_matching(instance.graph, output_pairs)
+                # Referee: the ordinary-model players (Remark: extra copies
+                # of public vertices are ignored), plus free (sigma, j*).
+                referee = ordinary_views(
+                    instance, public, (entry.views for entry in copy_tables)
+                )
+                received = tuple((v, sketch(view)) for v, view in referee.items())
+                output_pairs = decoded.get(received)
+                if output_pairs is None:
+                    output = protocol.decode(n, dict(received), coins)
+                    output_pairs = decoded[received] = frozenset(
+                        normalize_edge(u, v) for u, v in output
+                    )
+                slots = set()
+                for i in range(k):
+                    slots.update(instance.special_slot_pairs(i))
+                mu = len(output_pairs & slots)
+                correct = is_maximal_matching(instance.graph, output_pairs)
 
-            expected_mu += prob * mu
-            if not correct:
-                error_prob += prob
+                expected_mu += prob * mu
+                if not correct:
+                    error_prob += prob
 
-            outcome = (
-                j_star,
-                *(table[i][j] for i in range(k) for j in range(t)),
-                pi_p,
-                *pi_u,
-                1 if correct else 0,
-                mu,
-            )
-            if builder is not None:
-                # Every (j*, indicator table) pair is a distinct row (the
-                # indicators are part of the outcome), so rows stream in
-                # with uniform weight and merge trivially at build().
-                builder.add(outcome, prob)
-            else:
-                pmf[outcome] = pmf.get(outcome, 0.0) + prob
+                row = (
+                    j_star,
+                    *(table[i][j] for i in range(k) for j in range(t)),
+                    pi_p,
+                    *(entry.messages for entry in copy_tables),
+                    1 if correct else 0,
+                    mu,
+                )
+                if builder is not None:
+                    # Every (j*, indicator table) pair is a distinct row
+                    # (the indicators are part of the outcome), so rows
+                    # stream in with uniform weight and merge trivially.
+                    builder.add(row, prob)
+                else:
+                    pmf[row] = pmf.get(row, 0.0) + prob
+    obs.count(LEMMA_OUTCOMES, outcomes, protocol=protocol.name)
+    obs.count(LEMMA_SKETCHES, len(sketches), protocol=protocol.name)
+    obs.count(LEMMA_DECODES, len(decoded), protocol=protocol.name)
 
     if builder is not None:
         dist = builder.build()

@@ -36,13 +36,25 @@ class SketchProtocol(ABC):
 
     @abstractmethod
     def sketch(self, view: VertexView, coins: PublicCoins) -> Message:
-        """Compute the message this player sends to the referee."""
+        """Compute the message this player sends to the referee.
+
+        Must be a pure function of ``(view, coins)``: no hidden state,
+        no randomness beyond the public coins.  Fixing the coins then
+        makes the protocol deterministic — the Yao averaging step of
+        the lower bound — and lets the exact lemma enumeration sketch
+        each distinct view once.
+        """
 
     @abstractmethod
     def decode(
         self, n: int, sketches: Mapping[int, Message], coins: PublicCoins
     ) -> Any:
-        """Referee: recover the output from the received sketches."""
+        """Referee: recover the output from the received sketches.
+
+        Must be a pure function of ``(n, sketches, coins)`` (the
+        sketches in their given order), and must not mutate them; the
+        exact lemma enumeration decodes each distinct input once.
+        """
 
 
 class BatchSketchProtocol(SketchProtocol):

@@ -27,6 +27,9 @@ from .counters import (
     COUNTERS,
     ENGINE_SERIAL_FALLBACKS,
     ENGINE_TRIALS,
+    LEMMA_DECODES,
+    LEMMA_OUTCOMES,
+    LEMMA_SKETCHES,
     SKETCH_BYTES,
     SKETCH_CELLS_PACKED,
     SKETCH_CELLS_UNPACKED,
@@ -70,6 +73,9 @@ __all__ = [
     "CounterDef",
     "ENGINE_SERIAL_FALLBACKS",
     "ENGINE_TRIALS",
+    "LEMMA_DECODES",
+    "LEMMA_OUTCOMES",
+    "LEMMA_SKETCHES",
     "SKETCH_BYTES",
     "SKETCH_CELLS_PACKED",
     "SKETCH_CELLS_UNPACKED",

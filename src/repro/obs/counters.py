@@ -50,6 +50,12 @@ CACHE_BYPASSES = "cache.bypasses"
 #: Bytes appended to run-store manifests, and records written.
 STORE_BYTES = "store.bytes_serialized"
 STORE_RECORDS = "store.records"
+#: Exact lemma enumeration (label: protocol): outcomes enumerated, and
+#: the distinct ``protocol.sketch`` / ``protocol.decode`` calls they
+#: needed (each distinct view and referee input is computed once).
+LEMMA_OUTCOMES = "lemma.outcomes"
+LEMMA_SKETCHES = "lemma.sketches"
+LEMMA_DECODES = "lemma.decodes"
 
 
 @dataclass(frozen=True)
@@ -137,6 +143,27 @@ COUNTERS: dict[str, CounterDef] = {
         ),
         CounterDef(
             STORE_RECORDS, "records", "run records written", stable=True
+        ),
+        CounterDef(
+            LEMMA_OUTCOMES,
+            "outcomes",
+            "(j*, indicator table) outcomes of an exact lemma enumeration",
+            stable=True,
+            labels=("protocol",),
+        ),
+        CounterDef(
+            LEMMA_SKETCHES,
+            "calls",
+            "distinct protocol.sketch calls of an exact lemma enumeration",
+            stable=True,
+            labels=("protocol",),
+        ),
+        CounterDef(
+            LEMMA_DECODES,
+            "calls",
+            "distinct protocol.decode calls of an exact lemma enumeration",
+            stable=True,
+            labels=("protocol",),
         ),
     )
 }

@@ -28,7 +28,13 @@ from pathlib import Path
 from typing import Any
 
 from .counters import COUNTERS
-from .recorder import SpanRecord, TelemetryRecorder
+from .recorder import SpanRecord, TelemetryRecorder, label_order
+
+
+def _counter_order(item) -> tuple:
+    """Sort key for a ``((name, labels), value)`` counter item."""
+    (name, labels), _value = item
+    return name, label_order(labels)
 
 
 def render_labels(labels: tuple) -> str:
@@ -65,7 +71,7 @@ def to_jsonl(recorder: TelemetryRecorder) -> str:
             )
         )
     for (name, labels), value in sorted(
-        recorder.counters.items(), key=lambda kv: (kv[0][0], repr(kv[0][1]))
+        recorder.counters.items(), key=_counter_order
     ):
         lines.append(
             json.dumps(
@@ -122,7 +128,7 @@ def to_chrome_trace(recorder: TelemetryRecorder) -> dict:
         "repro.counters": {
             f"{name}{{{render_labels(labels)}}}" if labels else name: value
             for (name, labels), value in sorted(
-                recorder.counters.items(), key=lambda kv: (kv[0][0], repr(kv[0][1]))
+                recorder.counters.items(), key=_counter_order
             )
         },
     }
@@ -236,17 +242,15 @@ def render_tree(recorder: TelemetryRecorder, width: int = 44) -> list[str]:
 def counter_table(recorder: TelemetryRecorder, name: str | None = None) -> list[str]:
     """Aligned per-label counter rows (one counter, or the whole set)."""
     items = [
-        (n, labels, value)
-        for (n, labels), value in recorder.counters.items()
-        if name is None or n == name
+        item
+        for item in recorder.counters.items()
+        if name is None or item[0][0] == name
     ]
     if not items:
         return ["(no counters recorded)"]
     rows = [
         (n, render_labels(labels) or "-", str(value), COUNTERS[n].unit)
-        for n, labels, value in sorted(
-            items, key=lambda item: (item[0], repr(item[1]))
-        )
+        for (n, labels), value in sorted(items, key=_counter_order)
     ]
     widths = [max(len(r[i]) for r in rows) for i in range(4)]
     return [
@@ -274,7 +278,7 @@ def telemetry_summary(recorder: TelemetryRecorder, top: int = 8) -> dict:
         "detail": {
             f"{name}{{{render_labels(labels)}}}": value
             for (name, labels), value in sorted(
-                recorder.counters.items(), key=lambda kv: (kv[0][0], repr(kv[0][1]))
+                recorder.counters.items(), key=_counter_order
             )
             if labels
         },

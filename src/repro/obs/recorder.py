@@ -39,6 +39,16 @@ from .counters import COUNTERS
 LabelItems = tuple
 
 
+def label_order(labels: LabelItems) -> tuple:
+    """Sort key for a label tuple: numeric values in numeric order
+    (``player=2`` before ``player=10``), anything else by its string,
+    so label tuples of mixed value types still sort."""
+    return tuple(
+        (key, (0, value) if isinstance(value, (int, float)) else (1, str(value)))
+        for key, value in labels
+    )
+
+
 @dataclass
 class SpanRecord:
     """One recorded span: identity, position in the tree, and timing.
@@ -129,7 +139,7 @@ class TelemetryRecorder:
             for (n, labels), value in self.counters.items()
             if n == name
         }
-        return dict(sorted(rows.items(), key=lambda kv: repr(kv[0])))
+        return dict(sorted(rows.items(), key=lambda kv: label_order(kv[0])))
 
     # ------------------------------------------------------------------
     # Snapshots: the picklable form that crosses the pool boundary

@@ -255,6 +255,24 @@ class TestExporters:
         assert render_tree(empty) == ["(no spans recorded)"]
         assert counter_table(empty) == ["(no counters recorded)"]
 
+    def test_counter_table_sorts_numeric_labels_numerically(self):
+        rec = TelemetryRecorder()
+        for player in (10, 2, 1):
+            _bits(rec, 8, player=player, protocol="p")
+        _bits(rec, 8, player="referee", protocol="p")  # mixed value types
+        rows = counter_table(rec, TRANSCRIPT_BITS)
+        assert [row.split()[1] for row in rows] == [
+            "player=1,protocol=p",
+            "player=2,protocol=p",
+            "player=10,protocol=p",
+            "player=referee,protocol=p",
+        ]
+        assert list(rec.series(TRANSCRIPT_BITS))[:3] == [
+            (("player", 1), ("protocol", "p")),
+            (("player", 2), ("protocol", "p")),
+            (("player", 10), ("protocol", "p")),
+        ]
+
     def test_telemetry_summary_shape(self):
         summary = telemetry_summary(_recorded_workload())
         assert summary["counters"][TRANSCRIPT_BITS] == 12

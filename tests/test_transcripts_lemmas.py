@@ -8,7 +8,7 @@ For each protocol below we enumerate the full joint distribution of
 import pytest
 
 from repro.lowerbound import analyze_protocol, micro_distribution
-from repro.model import PublicCoins
+from repro.model import PublicCoins, SketchProtocol
 from repro.protocols import (
     FullNeighborhoodMatching,
     SampledEdgesMatching,
@@ -387,3 +387,231 @@ class TestExactVsMonteCarlo:
                 slots.update(inst.special_slot_pairs(i))
             total_mu += len(output & slots)
         assert total_mu / trials == pytest.approx(exact.expected_mu, abs=0.05)
+
+
+# ----------------------------------------------------------------------
+# The memoized enumeration: work counts and bit identity
+# ----------------------------------------------------------------------
+def _from_scratch(hard, protocol, coins, sigma=None, *, kernel="table", exact=False):
+    """Every outcome sketched and decoded from scratch — the enumeration
+    before memoization, kept as the oracle of ``analyze_protocol``.
+
+    Returns the analysis fields plus the distinct player views and the
+    distinct referee inputs the enumeration met.
+    """
+    from fractions import Fraction
+
+    from repro.graphs import is_maximal_matching, normalize_edge
+    from repro.infotheory import JointDistribution, TableBuilder
+    from repro.lowerbound import (
+        DMMInstance,
+        enumerate_indicator_tables,
+        identity_sigma,
+        player_split,
+        vertex_player_views,
+    )
+
+    if sigma is None:
+        sigma = identity_sigma(hard)
+    k, t, n = hard.k, hard.t, hard.n
+    m_names = [f"M_{i}_{j}" for i in range(k) for j in range(t)]
+    names = ["J", *m_names, "PiP", *[f"PiU_{i}" for i in range(k)], "O", "MU"]
+    pmf = {}
+    builder = TableBuilder(names, exact=exact) if kernel == "table" else None
+    expected_mu = error_prob = Fraction(0) if exact else 0.0
+    worst_bits = 0
+    views_seen, inputs_seen = set(), set()
+    tables = list(enumerate_indicator_tables(hard))
+    prob = Fraction(1, t * len(tables)) if exact else 1.0 / (t * len(tables))
+    for j_star in range(t):
+        for table in tables:
+            instance = DMMInstance(
+                hard=hard, j_star=j_star, sigma=sigma, indicators=table
+            )
+            split = player_split(instance)
+            views_seen.update(split.public.values(), split.unique.values())
+            pi_p = tuple(
+                protocol.sketch(split.public[label], coins)
+                for label in sorted(split.public)
+            )
+            pi_u = [
+                tuple(
+                    protocol.sketch(split.unique[(i, v)], coins)
+                    for v in sorted(rs_v for (ci, rs_v) in split.unique if ci == i)
+                )
+                for i in range(k)
+            ]
+            worst_bits = max(
+                worst_bits,
+                max((m.num_bits for m in pi_p), default=0),
+                max((m.num_bits for group in pi_u for m in group), default=0),
+            )
+            views = vertex_player_views(instance)
+            views_seen.update(views.values())
+            sketches = {v: protocol.sketch(view, coins) for v, view in views.items()}
+            inputs_seen.add(tuple(sketches.items()))
+            output = protocol.decode(n, sketches, coins)
+            output_pairs = {normalize_edge(u, v) for u, v in output}
+            slots = set()
+            for i in range(k):
+                slots.update(instance.special_slot_pairs(i))
+            mu = len(output_pairs & slots)
+            correct = is_maximal_matching(instance.graph, output_pairs)
+            expected_mu += prob * mu
+            if not correct:
+                error_prob += prob
+            outcome = (
+                j_star,
+                *(table[i][j] for i in range(k) for j in range(t)),
+                pi_p,
+                *pi_u,
+                1 if correct else 0,
+                mu,
+            )
+            if builder is not None:
+                builder.add(outcome, prob)
+            else:
+                pmf[outcome] = pmf.get(outcome, 0.0) + prob
+    dist = builder.build() if builder is not None else JointDistribution(names, pmf)
+    return {
+        "dist": dist,
+        "expected_mu": expected_mu,
+        "error_probability": error_prob,
+        "worst_case_bits": worst_bits,
+        "views": views_seen,
+        "inputs": inputs_seen,
+    }
+
+
+class _Counting(SketchProtocol):
+    """A protocol wrapper counting its sketch and decode calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.sketches = 0
+        self.decodes = 0
+
+    def sketch(self, view, coins):
+        self.sketches += 1
+        return self.inner.sketch(view, coins)
+
+    def decode(self, n, sketches, coins):
+        self.decodes += 1
+        return self.inner.decode(n, sketches, coins)
+
+
+MICRO_T3 = micro_distribution(r=1, t=3, k=2)
+MICRO_T4 = micro_distribution(r=1, t=4, k=2)  # the L35 size of lemma-exact
+
+
+@pytest.fixture(scope="module")
+def t4_from_scratch():
+    return _from_scratch(MICRO_T4, SampledEdgesMatching(1), COINS, exact=True)
+
+
+def _assert_identical(analysis, oracle):
+    assert analysis.dist.digest == oracle["dist"].digest
+    assert analysis.expected_mu == oracle["expected_mu"]
+    assert analysis.error_probability == oracle["error_probability"]
+    assert analysis.worst_case_bits == oracle["worst_case_bits"]
+
+
+class TestEnumerationWorkCounts:
+    """Each distinct view is sketched once and each distinct referee input
+    decoded once, however many outcomes share them."""
+
+    def test_t4_sketches_each_distinct_view_once(self, t4_from_scratch):
+        counting = _Counting(SampledEdgesMatching(1))
+        analyze_protocol(MICRO_T4, counting, COINS, exact=True)
+        assert len(t4_from_scratch["views"]) == 20
+        assert counting.sketches == 20
+        assert counting.decodes == len(t4_from_scratch["inputs"])
+        assert counting.decodes < MICRO_T4.t * 2 ** (MICRO_T4.k * MICRO_T4.t)
+
+    def test_t3_sketches_each_distinct_view_once(self):
+        counting = _Counting(SampledEdgesMatching(1))
+        analyze_protocol(MICRO_T3, counting, COINS)
+        oracle = _from_scratch(MICRO_T3, SampledEdgesMatching(1), COINS)
+        assert len(oracle["views"]) == 16
+        assert counting.sketches == 16
+        assert counting.decodes == len(oracle["inputs"])
+
+    def test_every_lemma_quantity_conditions_on_j_at_most_t_times(
+        self, monkeypatch
+    ):
+        from repro.infotheory import TableDistribution
+
+        calls = []
+        condition = TableDistribution.condition
+
+        def counted(dist, **fixed):
+            calls.append(fixed)
+            return condition(dist, **fixed)
+
+        monkeypatch.setattr(TableDistribution, "condition", counted)
+        a = analyze_protocol(MICRO_T3, SampledEdgesMatching(1), COINS, exact=True)
+        a.information_revealed
+        a.lemma33_implied_bound
+        a.lemma33_holds()
+        a.public_entropy
+        a.lemma34_lhs
+        a.lemma34_rhs
+        a.lemma34_holds()
+        for i in range(MICRO_T3.k):
+            a.unique_information(i)
+            a.unique_entropy(i)
+            a.lemma35_holds(i)
+        a.lemma35_all_hold()
+        a.capacity_upper_bound
+        assert 0 < len(calls) <= MICRO_T3.t
+
+
+class TestMemoizedEnumerationIsBitIdentical:
+    """``analyze_protocol`` against the from-scratch enumeration: the same
+    distribution digest and the same exact expectations."""
+
+    @pytest.mark.parametrize(
+        "protocol",
+        [
+            FullNeighborhoodMatching(),
+            SampledEdgesMatching(2),
+            SampledEdgesMatching(1),
+            SampledEdgesMatching(0),
+        ],
+        ids=lambda p: p.name,
+    )
+    def test_suite_protocols_t3(self, protocol):
+        analysis = analyze_protocol(MICRO_T3, protocol, COINS, exact=True)
+        _assert_identical(
+            analysis, _from_scratch(MICRO_T3, protocol, COINS, exact=True)
+        )
+
+    def test_sampled_t4(self, t4_from_scratch):
+        analysis = analyze_protocol(
+            MICRO_T4, SampledEdgesMatching(1), COINS, exact=True
+        )
+        _assert_identical(analysis, t4_from_scratch)
+
+    def test_non_identity_sigma(self):
+        import random
+
+        sigma = list(range(MICRO_T3.n))
+        random.Random(11).shuffle(sigma)
+        sigma = tuple(sigma)
+        assert sigma != tuple(range(MICRO_T3.n))
+        protocol = SampledEdgesMatching(1)
+        analysis = analyze_protocol(MICRO_T3, protocol, COINS, sigma, exact=True)
+        _assert_identical(
+            analysis, _from_scratch(MICRO_T3, protocol, COINS, sigma, exact=True)
+        )
+
+    def test_reference_kernel_pmf(self):
+        protocol = SampledEdgesMatching(1)
+        analysis = analyze_protocol(MICRO_T3, protocol, COINS, kernel="reference")
+        oracle = _from_scratch(MICRO_T3, protocol, COINS, kernel="reference")
+        assert analysis.dist.pmf == oracle["dist"].pmf
+        assert analysis.dist.variables == oracle["dist"].variables
+        assert analysis.expected_mu == oracle["expected_mu"]
+        assert analysis.error_probability == oracle["error_probability"]
+        assert analysis.worst_case_bits == oracle["worst_case_bits"]
